@@ -612,13 +612,15 @@ let speedup () =
 (* events/sec and minor words/event of one Controller.run on the speedup
    kernel's configuration — the two numbers the hot-path work of DESIGN.md
    §3.15 moves.  Minor words come from Gc.quick_stat deltas around the run,
-   so the figure includes protocol allocation (payloads), not just the
-   engine: it is an end-to-end per-event budget. *)
+   each read after a forced minor collection: without it the counter only
+   advances when a whole minor heap is collected, so the delta would be a
+   multiple of the minor heap size.  The figure includes protocol allocation
+   (payloads), not just the engine: it is an end-to-end per-event budget. *)
 let event_cost_record : (int * float * float * float) option ref = ref None
 
 let event_cost () =
   section
-    "Per-event engine cost — one PBFT n=20 run (100 decisions): wall time,\n\
+    "Per-event engine cost — one PBFT n=16 run (100 decisions): wall time,\n\
      events/second and GC minor words allocated per event";
   let config =
     {
@@ -632,10 +634,12 @@ let event_cost () =
   in
   (* Warm-up run so lane growth and code paths are resident. *)
   ignore (Core.Controller.run config);
+  Gc.minor ();
   let s0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
   let r = Core.Controller.run config in
   let wall_s = Unix.gettimeofday () -. t0 in
+  Gc.minor ();
   let s1 = Gc.quick_stat () in
   let events = r.Core.Controller.events_processed in
   let events_per_sec = float_of_int events /. Float.max wall_s 1e-9 in
@@ -825,7 +829,7 @@ let write_json path =
   (match !event_cost_record with
   | Some (events, wall_s, events_per_sec, words_per_event) ->
     out
-      "  \"event_cost\": { \"kernel\": \"pbft-n20-100dec\", \"events\": %d, \"wall_s\": %.6f, \
+      "  \"event_cost\": { \"kernel\": \"pbft-n16-100dec\", \"events\": %d, \"wall_s\": %.6f, \
        \"events_per_sec\": %.0f, \"minor_words_per_event\": %.1f },\n"
       events wall_s events_per_sec words_per_event
   | None -> ());

@@ -95,9 +95,24 @@ type rc_pending = {
   mutable rc_attempts : int;
 }
 
+(* One send as it travels: a broadcast builds a single wire record shared by
+   all of its in-flight deliveries, and each delivery is a two-field
+   [Deliver] block pairing it with the recipient's message id and physical
+   destination (packed by [pack_delivery]).  In-flight state is thus a few
+   words per recipient instead of a full [Message.t] plus boxed delay, and
+   the envelope a handler sees is rebuilt at dispatch, where it dies young
+   (DESIGN.md §3.15). *)
+type wire = {
+  w_src : int;
+  w_sent_at : Time.t;
+  w_tag : string;
+  w_size : int;
+  w_payload : Message.payload;
+}
+
 type event =
-  | Deliver of Message.t
-  | Deliver_verified of Message.t
+  | Deliver of wire * int
+  | Deliver_verified of wire * int
   | Node_timer of Timer.t
   | Attacker_timer of Timer.t
 
@@ -167,6 +182,17 @@ let injected_faults =
 
 let no_cancel () = false
 
+(* A delivery's int packs the message id above the physical destination.
+   Destinations outside the replica set (only a forging attacker produces
+   them) pack as [dst_mask], which no replica uses, so they stay
+   undeliverable. *)
+let dst_bits = 24
+
+let dst_mask = (1 lsl dst_bits) - 1
+
+let[@inline] pack_delivery ~pn ~id ~dst =
+  (id lsl dst_bits) lor if dst >= 0 && dst < pn then dst else dst_mask
+
 let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workload
     (config : Config.t) =
   Config.validate config;
@@ -195,6 +221,7 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
      are shared and bit-identical to a pre-twins run. *)
   let twins = config.twins in
   let pn = Config.physical_n config in
+  if pn >= dst_mask then invalid_arg (Printf.sprintf "Controller.run: %d replicas is too many" pn);
   let to_logical p =
     match twins with
     | Some tw when p >= n -> Attack.Twins_schedule.logical ~n tw p
@@ -543,6 +570,15 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
       0
   in
 
+  let wire_from src ~tag ~size payload =
+    {
+      w_src = src;
+      w_sent_at = Event_queue.now queue;
+      w_tag = tag;
+      w_size = size;
+      w_payload = payload;
+    }
+  in
   let attacker_env =
     {
       (* Attackers see the physical replica set — the twins partition
@@ -567,14 +603,15 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
           (fun ~src ~dst ~delay_ms ~tag ~size payload ->
             incr msg_counter;
             incr c_injected;
+            let w = wire_from src ~tag ~size payload in
             let msg =
-              Message.make ~id:!msg_counter ~src ~dst ~sent_at:(Event_queue.now queue) ~tag ~size
-                payload
+              Message.make ~id:!msg_counter ~src ~dst ~sent_at:w.w_sent_at ~tag ~size payload
             in
             msg.Message.delay_ms <- Float.max 0. delay_ms;
             record Trace.Send ~node:src ~peer:dst ~tag ~detail:"<injected>";
             trace_net_deliver msg;
-            Event_queue.schedule queue ~at:(Message.arrival_time msg) (Deliver msg));
+            Event_queue.schedule queue ~at:(Message.arrival_time msg)
+              (Deliver (w, pack_delivery ~pn ~id:msg.Message.id ~dst)));
         corrupt =
           (fun node ->
             if node < 0 || node >= n || corrupted.(node) then false
@@ -596,7 +633,10 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
     }
   in
 
-  let route (msg : Message.t) =
+  (* [msg] is the attacker's per-recipient view of wire [w]: it may rewrite
+     its [delay_ms], which only reaches the queue priority, so a rewrite for
+     one recipient never leaks to the others sharing [w]. *)
+  let route (w : wire) (msg : Message.t) =
     Network.assign_delay network msg;
     (* The recorded delay is end-to-end (sample + crypto cost + attacker
        modifications), so in replay mode it is applied last — after the
@@ -664,13 +704,16 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
         record Trace.Drop ~node:msg.src ~peer:msg.dst ~tag:msg.tag ~detail:"loss"
       end
       else begin
-        msg.Message.delay_ms <- msg.Message.delay_ms +. verdict.Loss_model.reorder_extra_ms;
+        (* Skipping the zero case spares a float box per message. *)
+        if verdict.Loss_model.reorder_extra_ms <> 0. then
+          msg.Message.delay_ms <- msg.Message.delay_ms +. verdict.Loss_model.reorder_extra_ms;
         if metrics_on && msg.Message.src <> msg.Message.dst then begin
           Obs.Metrics.observe_h h_delay msg.Message.delay_ms;
           if bandwidth_on then Obs.Metrics.observe_h h_queue (Network.last_queue_ms network)
         end;
         trace_net_deliver msg;
-        Event_queue.schedule queue ~at:(Message.arrival_time msg) (Deliver msg);
+        Event_queue.schedule queue ~at:(Message.arrival_time msg)
+          (Deliver (w, pack_delivery ~pn ~id:msg.Message.id ~dst:msg.Message.dst));
         if verdict.Loss_model.duplicate then begin
           (* The duplicate is a network artifact, not wire traffic the
              sender paid for: it gets its own message id but no stats. *)
@@ -683,27 +726,28 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
           in
           dup.Message.delay_ms <- msg.Message.delay_ms +. (0.5 *. config.lambda_ms);
           trace_net_deliver dup;
-          Event_queue.schedule queue ~at:(Message.arrival_time dup) (Deliver dup)
+          Event_queue.schedule queue ~at:(Message.arrival_time dup)
+            (Deliver (w, pack_delivery ~pn ~id:dup.Message.id ~dst:dup.Message.dst))
         end
       end
   in
 
+  let send_wire (w : wire) ~dst =
+    let src = w.w_src and size = w.w_size in
+    incr msg_counter;
+    (* Mirror [Network.stats]: self-addressed messages are local
+       deliveries, not wire traffic (§II-C message usage). *)
+    if dst <> src then begin
+      incr c_sent;
+      c_bytes := !c_bytes + size;
+      count_tag w.w_tag;
+      if metrics_on then Obs.Metrics.observe_h h_size (float_of_int size)
+    end;
+    route w
+      (Message.make ~id:!msg_counter ~src ~dst ~sent_at:w.w_sent_at ~tag:w.w_tag ~size w.w_payload)
+  in
   let send_from src ~dst ~tag ~size payload =
-    if not crashed.(src) then begin
-      incr msg_counter;
-      (* Mirror [Network.stats]: self-addressed messages are local
-         deliveries, not wire traffic (§II-C message usage). *)
-      if dst <> src then begin
-        incr c_sent;
-        c_bytes := !c_bytes + size;
-        count_tag tag;
-        if metrics_on then Obs.Metrics.observe_h h_size (float_of_int size)
-      end;
-      let msg =
-        Message.make ~id:!msg_counter ~src ~dst ~sent_at:(Event_queue.now queue) ~tag ~size payload
-      in
-      route msg
-    end
+    if not crashed.(src) then send_wire (wire_from src ~tag ~size payload) ~dst
   in
 
   (* Reliable channel (opt-in via [reliable = true], DESIGN.md §3.17): every
@@ -768,10 +812,19 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
 
   let broadcast_from src ~include_self ~tag ~size payload =
     match config.Config.transport with
-    | Config.Direct ->
+    | Config.Direct when not rc_on ->
       (* Physical fan-out: twin halves receive broadcasts independently.
          [include_self = false] excludes only the sending instance — its
-         co-twin is another machine on the wire. *)
+         co-twin is another machine on the wire.  All recipients share one
+         wire record. *)
+      if not crashed.(src) then begin
+        let w = wire_from src ~tag ~size payload in
+        for dst = 0 to pn - 1 do
+          if include_self || dst <> src then send_wire w ~dst
+        done
+      end
+    | Config.Direct ->
+      (* Reliable channel: every frame carries its own sequence number. *)
       for dst = 0 to pn - 1 do
         if include_self || dst <> src then send_user src ~dst ~tag ~size payload
       done
@@ -978,26 +1031,12 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
     view_samples := (Event_queue.now_ms queue, views) :: !view_samples
   in
 
-  (* At the protocol boundary a message carries logical endpoints: a twin
-     half's traffic is indistinguishable from its co-twin's — that is the
-     entire attack surface.  The physical copy stays untouched for traces
-     and replay (delays are keyed by physical link). *)
-  let to_protocol (msg : Message.t) =
-    if msg.Message.src < n && msg.Message.dst < n then msg
-    else begin
-      let m =
-        Message.make ~id:msg.Message.id ~src:(to_logical msg.Message.src)
-          ~dst:(to_logical msg.Message.dst) ~sent_at:msg.Message.sent_at ~tag:msg.Message.tag
-          ~size:msg.Message.size msg.Message.payload
-      in
-      m.Message.delay_ms <- msg.Message.delay_ms;
-      m
-    end
-  in
-  let rec dispatch (msg : Message.t) =
-    let dst = msg.Message.dst in
+  (* [dispatch w ~id ~dst] delivers wire [w] to physical replica [dst]
+     under message id [id].  Unwrapping a gossip or reliable frame makes a
+     fresh wire for the inner payload and dispatches again. *)
+  let rec dispatch (w : wire) ~id ~dst =
     if dst >= 0 && dst < pn then
-      match msg.Message.payload with
+      match w.w_payload with
       | Gossip_frame { origin; gid; tag; size; inner } ->
         (* First sight: unwrap for the protocol and keep the epidemic going;
            duplicates die here (their hop still counted as traffic). *)
@@ -1005,17 +1044,14 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
           Hashtbl.replace gossip_seen.(dst) (origin, gid) ();
           (match config.Config.transport with
           | Config.Gossip { fanout } when not crashed.(dst) ->
-            gossip_forward dst msg.Message.payload ~tag ~size ~fanout
+            gossip_forward dst w.w_payload ~tag ~size ~fanout
           | Config.Gossip _ | Config.Direct -> ());
           incr msg_counter;
-          let unwrapped =
-            Message.make ~id:!msg_counter ~src:origin ~dst ~sent_at:msg.Message.sent_at ~tag ~size
-              inner
-          in
-          dispatch unwrapped
+          dispatch { w with w_src = origin; w_tag = tag; w_size = size; w_payload = inner }
+            ~id:!msg_counter ~dst
         end
       | Rc_frame { seq; tag; size; inner } when nodes.(dst) <> None ->
-        let src = msg.Message.src in
+        let src = w.w_src in
         (* Ack unconditionally, duplicates included: a duplicate frame
            usually means the previous ack was lost on the way back. *)
         send_from dst ~dst:src ~tag:"rc-ack" ~size:rc_header_bytes (Rc_ack { seq });
@@ -1023,16 +1059,12 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
         else begin
           Hashtbl.replace rc_seen (src, dst, seq) ();
           incr msg_counter;
-          let unwrapped =
-            Message.make ~id:!msg_counter ~src ~dst ~sent_at:msg.Message.sent_at ~tag ~size inner
-          in
-          unwrapped.Message.delay_ms <- msg.Message.delay_ms;
-          dispatch unwrapped
+          dispatch { w with w_tag = tag; w_size = size; w_payload = inner } ~id:!msg_counter ~dst
         end
       | Rc_ack { seq } ->
         (* The channel key is (sender, receiver): the acked sender is this
            message's destination. *)
-        Hashtbl.remove rc_out (dst, msg.Message.src, seq)
+        Hashtbl.remove rc_out (dst, w.w_src, seq)
       | _ -> (
         match nodes.(dst) with
         | Some node ->
@@ -1040,26 +1072,35 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
           (* Same guard as the Send site: don't render the payload when the
              row is going nowhere. *)
           if trace <> None then
-            record Trace.Deliver ~node:dst ~peer:msg.Message.src ~tag:msg.Message.tag
-              ~detail:(Message.payload_to_string msg.Message.payload);
-          P.on_message node ctxs.(dst) (to_protocol msg);
+            record Trace.Deliver ~node:dst ~peer:w.w_src ~tag:w.w_tag
+              ~detail:(Message.payload_to_string w.w_payload);
+          (* At the protocol boundary a message carries logical endpoints:
+             a twin half's traffic is indistinguishable from its
+             co-twin's — that is the entire attack surface.  Traces and
+             replay stay keyed by physical link. *)
+          let msg =
+            Message.make ~id ~src:(to_logical w.w_src) ~dst:(to_logical dst) ~sent_at:w.w_sent_at
+              ~tag:w.w_tag ~size:w.w_size w.w_payload
+          in
+          msg.Message.delay_ms <- Time.diff_ms (Event_queue.now queue) w.w_sent_at;
+          P.on_message node ctxs.(dst) msg;
           if telemetry_on then note_view dst
         | None -> ())
   in
   let handle = function
-    | Deliver msg ->
-      let dst = msg.Message.dst in
-      if costs.Cost_model.verify_ms > 0. && dst >= 0 && dst < pn && msg.Message.src <> dst then begin
+    | Deliver (w, key) ->
+      let dst = key land dst_mask in
+      if costs.Cost_model.verify_ms > 0. && dst < pn && w.w_src <> dst then begin
         (* The receiver's CPU must verify the message before the protocol
            sees it; contention shows up as extra queueing delay. *)
         let now = Event_queue.now_ms queue in
         let finish =
           Cost_model.charge cpus.(dst) ~now_ms:now ~cost_ms:costs.Cost_model.verify_ms
         in
-        Event_queue.schedule queue ~at:(Time.of_ms finish) (Deliver_verified msg)
+        Event_queue.schedule queue ~at:(Time.of_ms finish) (Deliver_verified (w, key))
       end
-      else dispatch msg
-    | Deliver_verified msg -> dispatch msg
+      else dispatch w ~id:(key lsr dst_bits) ~dst
+    | Deliver_verified (w, key) -> dispatch w ~id:(key lsr dst_bits) ~dst:(key land dst_mask)
     | Node_timer timer ->
       let id = timer.Timer.id in
       let owner = timer.Timer.owner in
@@ -1197,15 +1238,16 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
      instant carrying the host-time cost of its handler as an argument —
      wall clock stays out of the registry (see the determinism rule). *)
   let ev_label = function
-    | Deliver m | Deliver_verified m -> ("on_msg:" ^ m.Message.tag, m.Message.dst)
+    | Deliver (w, key) | Deliver_verified (w, key) -> ("on_msg:" ^ w.w_tag, key land dst_mask)
     | Node_timer t -> ("on_time:" ^ t.Timer.tag, t.Timer.owner)
     | Attacker_timer t -> ("attacker:" ^ t.Timer.tag, -1)
   in
-  let handle_traced now_ms ev =
+  let handle_traced ev =
     incr c_events;
     match tracer with
     | None -> handle ev
     | Some tr ->
+      let now_ms = Event_queue.now_ms queue in
       let w0 = Unix.gettimeofday () in
       handle ev;
       let wall_dur_us = (Unix.gettimeofday () -. w0) *. 1e6 in
@@ -1240,7 +1282,7 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
               now_ms;
             outcome := Stalled { last_progress_ms = !last_progress }
           | _ ->
-            handle_traced now_ms ev;
+            handle_traced ev;
             loop ()
         end
       end

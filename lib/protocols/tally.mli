@@ -4,7 +4,8 @@
     digest [d] …") needs a map from a vote key to the {e set} of distinct
     voters, because a faulty or retransmitting node must not be counted
     twice.  ['k] is the vote key — typically a [(view, phase, value)]
-    tuple. *)
+    tuple.  Voters are node ids: non-negative, and a key's voter set costs
+    one bit per id up to the largest voter seen. *)
 
 type 'k t
 
@@ -12,7 +13,8 @@ val create : unit -> 'k t
 
 val add : 'k t -> 'k -> voter:int -> int
 (** [add t key ~voter] records the vote and returns the new number of
-    distinct voters for [key].  Re-votes do not change the count. *)
+    distinct voters for [key].  Re-votes do not change the count.
+    @raise Invalid_argument if [voter] is negative. *)
 
 val count : 'k t -> 'k -> int
 (** Number of distinct voters recorded for [key]; 0 if none. *)

@@ -42,3 +42,14 @@ let remove t i =
   end
 
 let clear t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
+
+let elements t =
+  let acc = ref [] in
+  for byte = Bytes.length t.bits - 1 downto 0 do
+    let b = Char.code (Bytes.unsafe_get t.bits byte) in
+    if b <> 0 then
+      for bit = 7 downto 0 do
+        if b land (1 lsl bit) <> 0 then acc := ((byte lsl 3) lor bit) :: !acc
+      done
+  done;
+  !acc

@@ -3,7 +3,8 @@
     Built for the controller's timer bookkeeping (DESIGN.md §3.15): timer
     ids are issued sequentially, so pending/cancelled membership is one bit
     per id in a flat byte array — no per-operation allocation, unlike the
-    hashtable it replaced.  Memory is one bit per key ever {!add}ed. *)
+    hashtable it replaced.  Memory is one bit per key ever {!add}ed.
+    [Tally] in the protocols library keeps one per vote key, over node ids. *)
 
 type t
 
@@ -23,3 +24,6 @@ val remove : t -> int -> unit
 
 val clear : t -> unit
 (** Empties the set, keeping its capacity. *)
+
+val elements : t -> int list
+(** The members in ascending order. *)

@@ -18,12 +18,18 @@ let now_ms q = Array.unsafe_get q.clock 0
 
 let now q = q.clock_t
 
-let schedule q ~at ev =
-  if Time.to_ms at < now_ms q then
-    invalid_arg
-      (Printf.sprintf "Event_queue.schedule: %s is in the past (now %s)" (Time.to_string at)
-         (Time.to_string (now q)));
-  Pqueue.push q.queue ~priority:(Time.to_ms at) ev
+(* Kept out of line so the inlined [schedule] never needs [at] boxed: the
+   caller's instant stays an unboxed float all the way into the heap's
+   priority lane. *)
+let[@inline never] scheduled_in_past q at =
+  invalid_arg
+    (Printf.sprintf "Event_queue.schedule: %s is in the past (now %s)" (Time.to_string at)
+       (Time.to_string (now q)))
+
+let[@inline] schedule q ~at ev =
+  let at_ms = Time.to_ms at in
+  if at_ms < now_ms q then scheduled_in_past q at;
+  Pqueue.push q.queue ~priority:at_ms ev
 
 let schedule_after q ~delay_ms ev =
   let delay_ms = if delay_ms < 0. then 0. else delay_ms in

@@ -48,17 +48,6 @@ let[@inline] before q i j =
   let pi = Array.unsafe_get q.prio i and pj = Array.unsafe_get q.prio j in
   pi < pj || (pi = pj && Array.unsafe_get q.seq i < Array.unsafe_get q.seq j)
 
-let[@inline] swap q i j =
-  let p = Array.unsafe_get q.prio i in
-  Array.unsafe_set q.prio i (Array.unsafe_get q.prio j);
-  Array.unsafe_set q.prio j p;
-  let s = Array.unsafe_get q.seq i in
-  Array.unsafe_set q.seq i (Array.unsafe_get q.seq j);
-  Array.unsafe_set q.seq j s;
-  let v = Array.unsafe_get q.vals i in
-  Array.unsafe_set q.vals i (Array.unsafe_get q.vals j);
-  Array.unsafe_set q.vals j v
-
 let grow q =
   let cap = Stdlib.max 64 (2 * Array.length q.prio) in
   let prio' = Array.make cap 0. in
@@ -71,34 +60,63 @@ let grow q =
   q.seq <- seq';
   q.vals <- vals'
 
-let rec sift_up q i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before q i parent then begin
-      swap q i parent;
-      sift_up q parent
-    end
-  end
+let[@inline never] nan_priority () = invalid_arg "Pqueue.push: NaN priority"
 
-let rec sift_down q i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = if left < q.size && before q left i then left else i in
-  let smallest = if right < q.size && before q right smallest then right else smallest in
-  if smallest <> i then begin
-    swap q i smallest;
-    sift_down q smallest
-  end
-
-let push q ~priority value =
-  if Float.is_nan priority then invalid_arg "Pqueue.push: NaN priority";
+(* Sifting moves a hole instead of swapping pairs: the entry being placed
+   is held in locals while the entries it passes shift one level, and it is
+   written once at its final slot.  That halves the lane writes per level,
+   including the [caml_modify] on the payload lane.  Pop order cannot change,
+   because [(priority, seq)] is a strict total order. *)
+let[@inline] push q ~priority value =
+  if Float.is_nan priority then nan_priority ();
   if q.size = Array.length q.prio then grow q;
-  let i = q.size in
-  Array.unsafe_set q.prio i priority;
-  Array.unsafe_set q.seq i q.next_seq;
-  Array.unsafe_set q.vals i value;
-  q.next_seq <- q.next_seq + 1;
-  q.size <- i + 1;
-  sift_up q i
+  let seq = q.next_seq in
+  q.next_seq <- seq + 1;
+  let hole = ref q.size in
+  q.size <- !hole + 1;
+  (* The new entry's seq exceeds every queued seq, so it only passes
+     parents with a strictly greater priority. *)
+  let rising = ref true in
+  while !rising && !hole > 0 do
+    let parent = (!hole - 1) / 2 in
+    let pp = Array.unsafe_get q.prio parent in
+    if priority < pp then begin
+      Array.unsafe_set q.prio !hole pp;
+      Array.unsafe_set q.seq !hole (Array.unsafe_get q.seq parent);
+      Array.unsafe_set q.vals !hole (Array.unsafe_get q.vals parent);
+      hole := parent
+    end
+    else rising := false
+  done;
+  Array.unsafe_set q.prio !hole priority;
+  Array.unsafe_set q.seq !hole seq;
+  Array.unsafe_set q.vals !hole value
+
+(* Re-seats the entry in slot [last] (just vacated by [size] shrinking to
+   [last]) by sifting a hole down from the root. *)
+let sift_down_last q last =
+  let p = Array.unsafe_get q.prio last and s = Array.unsafe_get q.seq last in
+  let v = Array.unsafe_get q.vals last in
+  let hole = ref 0 and sinking = ref true in
+  while !sinking do
+    let left = (2 * !hole) + 1 in
+    if left >= last then sinking := false
+    else begin
+      let right = left + 1 in
+      let c = if right < last && before q right left then right else left in
+      let pc = Array.unsafe_get q.prio c in
+      if pc < p || (pc = p && Array.unsafe_get q.seq c < s) then begin
+        Array.unsafe_set q.prio !hole pc;
+        Array.unsafe_set q.seq !hole (Array.unsafe_get q.seq c);
+        Array.unsafe_set q.vals !hole (Array.unsafe_get q.vals c);
+        hole := c
+      end
+      else sinking := false
+    end
+  done;
+  Array.unsafe_set q.prio !hole p;
+  Array.unsafe_set q.seq !hole s;
+  Array.unsafe_set q.vals !hole v
 
 let min_priority q =
   if q.size = 0 then invalid_arg "Pqueue.min_priority: empty queue";
@@ -109,14 +127,9 @@ let pop_exn q =
   if n < 0 then invalid_arg "Pqueue.pop_exn: empty queue";
   let v = Array.unsafe_get q.vals 0 in
   q.size <- n;
-  if n > 0 then begin
-    Array.unsafe_set q.prio 0 (Array.unsafe_get q.prio n);
-    Array.unsafe_set q.seq 0 (Array.unsafe_get q.seq n);
-    Array.unsafe_set q.vals 0 (Array.unsafe_get q.vals n)
-  end;
+  if n > 0 then sift_down_last q n;
   (* Clear the vacated slot so the heap does not pin the payload. *)
   Array.unsafe_set q.vals n (filler ());
-  if n > 1 then sift_down q 0;
   v
 
 let pop q =

@@ -196,6 +196,56 @@ let test_controller_attacker_override () =
     (r.outcome <> Core.Controller.Reached_target);
   Alcotest.(check bool) "drops counted" true (r.messages_dropped > 0)
 
+(* A broadcast shares one wire record among its recipients, but each
+   recipient still gets its own envelope for the attacker.  Slowing node 0's
+   first pre-prepare to node 2 alone must leave nodes 1 and 3 on time, and
+   with every delivery duplicated (dup = 1) each copy arrives at its own
+   instant: the original at the sampled delay, the duplicate half a lambda
+   later. *)
+let test_controller_per_recipient_delay () =
+  let delay = 50. and extra = 300. and lambda = 1000. in
+  let slow_one =
+    {
+      Bftsim_attack.Attacker.name = "slow-one";
+      on_start = (fun _ -> ());
+      attack =
+        (fun _ msg ->
+          if msg.Net.Message.src = 0 && msg.dst = 2 && msg.tag = "pre-prepare" then
+            msg.delay_ms <- msg.delay_ms +. extra;
+          Bftsim_attack.Attacker.Deliver);
+      on_time_event = (fun _ _ -> ());
+    }
+  in
+  let config =
+    Core.Config.make "pbft" ~n:4 ~seed:1 ~lambda_ms:lambda ~delay:(Net.Delay_model.Constant delay)
+      ~loss:(Net.Loss_model.make ~dup:1. ()) ~record_trace:true ~decisions_target:1000
+      ~max_time_ms:1000.
+  in
+  let r = Core.Controller.run ~attacker:slow_one config in
+  let entries = match r.trace with Some t -> Core.Trace.entries t | None -> [] in
+  let first_proposal =
+    List.find
+      (fun (e : Core.Trace.entry) -> e.kind = Core.Trace.Send && e.tag = "pre-prepare")
+      entries
+  in
+  let arrivals node =
+    List.filter_map
+      (fun (e : Core.Trace.entry) ->
+        if
+          e.kind = Core.Trace.Deliver && e.node = node && e.peer = 0
+          && e.detail = first_proposal.Core.Trace.detail
+        then Some e.at_ms
+        else None)
+      entries
+  in
+  let check node expected =
+    Alcotest.(check (list (float 1e-9))) (Printf.sprintf "node %d arrivals" node) expected
+      (arrivals node)
+  in
+  check 1 [ delay; delay +. (0.5 *. lambda) ];
+  check 2 [ delay +. extra; delay +. extra +. (0.5 *. lambda) ];
+  check 3 [ delay; delay +. (0.5 *. lambda) ]
+
 let test_controller_trace_recording () =
   let config = { (base_config ()) with Core.Config.record_trace = true } in
   let r = Core.Controller.run config in
@@ -683,6 +733,8 @@ let () =
           Alcotest.test_case "crashed nodes silent" `Quick test_controller_crashed_nodes_silent;
           Alcotest.test_case "liveness cap" `Quick test_controller_timeout_cap;
           Alcotest.test_case "attacker override" `Quick test_controller_attacker_override;
+          Alcotest.test_case "per-recipient attacker delay" `Quick
+            test_controller_per_recipient_delay;
           Alcotest.test_case "trace recording" `Quick test_controller_trace_recording;
           Alcotest.test_case "view sampling" `Quick test_controller_view_sampling;
         ] );

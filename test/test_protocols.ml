@@ -77,6 +77,75 @@ let prop_tally_counts_distinct_voters =
           P.Tally.count t key = List.length expected)
         (List.sort_uniq compare (List.map fst votes)))
 
+(* Tally against a reference model: per key, a Hashtbl voter set plus the
+   first-seen key order.  Operations are votes, probes and clears, so the
+   property exercises re-votes, [count], [has_voted], ascending [voters],
+   [max_count] tie order and [clear] on one history. *)
+type tally_op = Vote of int * int | Probe of int * int | Clear
+
+let gen_tally_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map2 (fun k v -> Vote (k, v)) (int_range 0 4) (int_range 0 40));
+        (3, map2 (fun k v -> Probe (k, v)) (int_range 0 5) (int_range 0 40));
+        (1, return Clear);
+      ])
+
+let print_tally_op = function
+  | Vote (k, v) -> Printf.sprintf "vote(%d,%d)" k v
+  | Probe (k, v) -> Printf.sprintf "probe(%d,%d)" k v
+  | Clear -> "clear"
+
+let prop_tally_matches_model =
+  QCheck.Test.make ~name:"tally agrees with a Hashtbl reference model" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list print_tally_op)
+       QCheck.Gen.(list_size (0 -- 80) gen_tally_op))
+    (fun ops ->
+      let t = P.Tally.create () in
+      let model : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
+      let order = ref [] in
+      let model_voters k =
+        match Hashtbl.find_opt model k with
+        | None -> []
+        | Some vs -> List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) vs [])
+      in
+      let model_max () =
+        List.fold_left
+          (fun best k ->
+            let c = List.length (model_voters k) in
+            match best with Some (_, bc) when bc >= c -> best | _ -> Some (k, c))
+          None (List.rev !order)
+      in
+      let agrees k v =
+        P.Tally.count t k = List.length (model_voters k)
+        && P.Tally.has_voted t k ~voter:v = List.mem v (model_voters k)
+        && P.Tally.voters t k = model_voters k
+        && P.Tally.max_count t = model_max ()
+        && List.sort compare (P.Tally.keys t) = List.sort compare !order
+      in
+      List.for_all
+        (function
+          | Vote (k, v) ->
+            let vs =
+              match Hashtbl.find_opt model k with
+              | Some vs -> vs
+              | None ->
+                let vs = Hashtbl.create 8 in
+                Hashtbl.replace model k vs;
+                order := k :: !order;
+                vs
+            in
+            Hashtbl.replace vs v ();
+            P.Tally.add t k ~voter:v = Hashtbl.length vs && agrees k v
+          | Probe (k, v) -> agrees k v
+          | Clear ->
+            P.Tally.clear t;
+            Hashtbl.reset model;
+            order := [];
+            agrees 0 0)
+        ops)
+
 (* --- Chain --- *)
 
 let qc view block = { P.Chain.view; block }
@@ -363,6 +432,7 @@ let () =
           Alcotest.test_case "voters" `Quick test_tally_voters;
           Alcotest.test_case "max_count / clear" `Quick test_tally_max_count;
           qc prop_tally_counts_distinct_voters;
+          qc prop_tally_matches_model;
         ] );
       ( "chain",
         [
