@@ -135,6 +135,24 @@ let watchdog_arg =
   in
   Arg.(value & opt (some string) None & info [ "watchdog" ] ~docv:"K" ~doc)
 
+(* --jobs, shared by every campaign subcommand (sweep, load, conform,
+   twins).  Zero or a negative count is a usage error here rather than an
+   Invalid_argument from Parallel.map. *)
+let jobs_arg =
+  let positive_int =
+    let parse s =
+      match int_of_string_opt s with
+      | Some j when j >= 1 -> Ok j
+      | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+    in
+    Arg.conv ~docv:"INT" (parse, Format.pp_print_int)
+  in
+  let doc =
+    "Domains to fan independent runs across (default BFTSIM_JOBS, else every core). Output is \
+     byte-identical whatever the value; 1 forces the sequential path."
+  in
+  Arg.(value & opt (some positive_int) None & info [ "j"; "jobs" ] ~docv:"INT" ~doc)
+
 (* Lossy-network / crash-recovery family, bundled into one term that yields
    the key = value pairs [config_of_args] splices in front of the config
    file (so flags override file values, like every other flag). *)
@@ -357,13 +375,6 @@ let sweep_cmd =
   let reps_arg =
     Arg.(value & opt int 0 & info [ "reps" ] ~docv:"INT" ~doc:"Repetitions (default BFTSIM_REPS or 20).")
   in
-  let jobs_arg =
-    let doc =
-      "Domains to fan repetitions across (default BFTSIM_JOBS, else cores - 1). Results are \
-       identical whatever the value; 1 forces the sequential path."
-    in
-    Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"INT" ~doc)
-  in
   let csv_arg =
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc:"Write per-run results as CSV.")
   in
@@ -504,12 +515,6 @@ let load_cmd =
   let pipeline_arg =
     Arg.(value & opt (some int) None
          & info [ "pipeline" ] ~docv:"INT" ~doc:"Consensus heights a leader keeps in flight.")
-  in
-  let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ] ~docv:"INT"
-             ~doc:"Domains to fan rate points across (default BFTSIM_JOBS, else cores - 1). \
-                   The curve is byte-identical whatever the value.")
   in
   let csv_arg =
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc:"Write the curve as CSV.")
@@ -697,11 +702,6 @@ let conform_cmd =
     Arg.(value & opt string "conform-out"
          & info [ "out" ] ~docv:"DIR" ~doc:"Directory for shrunk counterexample bundles.")
   in
-  let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ] ~docv:"INT"
-             ~doc:"Domains to fan scenario checks across (default BFTSIM_JOBS, else cores - 1).")
-  in
   let no_det_arg =
     Arg.(value & flag
          & info [ "no-determinism" ]
@@ -843,11 +843,6 @@ let twins_cmd =
   let out_arg =
     Arg.(value & opt string "twins-out"
          & info [ "out" ] ~docv:"DIR" ~doc:"Directory for shrunk counterexample bundles.")
-  in
-  let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "j"; "jobs" ] ~docv:"INT"
-             ~doc:"Domains to fan scenario checks across (default BFTSIM_JOBS, else cores - 1).")
   in
   let no_det_arg =
     Arg.(value & flag

@@ -164,21 +164,24 @@ let check_safety ~counted decisions =
    the replication seeded 17 raise at startup and the one seeded 23 spin on
    the wall clock until cancelled.  The supervised campaign drivers turn
    those into structured outcomes; the knob exists so the resilience tests
-   and the CI kill-and-resume job can exercise that machinery end to end. *)
-let injected_faults =
-  lazy
-    (match Sys.getenv_opt "BFTSIM_FAULT_INJECT" with
-    | None | Some "" -> []
-    | Some spec ->
-      String.split_on_char ';' spec
-      |> List.filter_map (fun directive ->
-             match String.split_on_char '@' (String.trim directive) with
-             | [ "crash"; seed ] -> Option.map (fun s -> (`Crash, s)) (int_of_string_opt seed)
-             | [ "hang"; seed ] -> Option.map (fun s -> (`Hang, s)) (int_of_string_opt seed)
-             | _ ->
-               invalid_arg
-                 (Printf.sprintf "BFTSIM_FAULT_INJECT: cannot parse %S (want crash@N or hang@N)"
-                    directive)))
+   and the CI kill-and-resume job can exercise that machinery end to end.
+   The variable is read on every run, not cached in a process-global lazy:
+   two domains forcing one lazy at once makes the second raise
+   [CamlinternalLazy.Undefined], and a run costs one [getenv] unless the
+   knob is set. *)
+let injected_faults () =
+  match Sys.getenv_opt "BFTSIM_FAULT_INJECT" with
+  | None | Some "" -> []
+  | Some spec ->
+    String.split_on_char ';' spec
+    |> List.filter_map (fun directive ->
+           match String.split_on_char '@' (String.trim directive) with
+           | [ "crash"; seed ] -> Option.map (fun s -> (`Crash, s)) (int_of_string_opt seed)
+           | [ "hang"; seed ] -> Option.map (fun s -> (`Hang, s)) (int_of_string_opt seed)
+           | _ ->
+             invalid_arg
+               (Printf.sprintf "BFTSIM_FAULT_INJECT: cannot parse %S (want crash@N or hang@N)"
+                  directive))
 
 let no_cancel () = false
 
@@ -209,7 +212,7 @@ let run ?(cancel = no_cancel) ?delay_override ?attacker:attacker_override ?workl
             Unix.sleepf 0.005
           done;
           raise Supervisor.Cancelled)
-    (Lazy.force injected_faults);
+    (injected_faults ());
   let (module P : Protocols.Protocol_intf.S) = Protocols.Registry.find_exn config.protocol in
   let n = config.n in
   (* Twins (DESIGN.md §3.14): each twinned identity runs a second physical

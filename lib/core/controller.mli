@@ -126,7 +126,7 @@ val run :
     ["crash@17;hang@23"]) makes the run with base seed 17 raise at startup
     and the one with seed 23 spin on the wall clock until cancelled — the
     test knob behind the resilience suite and the CI kill-and-resume
-    job. *)
+    job.  It is read at the start of every run. *)
 
 val throughput : result -> float
 (** Decided values per simulated second ([decisions_target / time]); the

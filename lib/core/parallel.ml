@@ -9,18 +9,21 @@
    sequential path would have produced, whatever the domain interleaving
    was.
 
-   Pool sizing (DESIGN.md §3.15): OCaml 5 minor collections are
-   stop-the-world across every running domain, so domains beyond the
-   hardware's parallelism do not merely idle — each minor GC must wait for
-   descheduled domains to reach a safepoint, and an oversubscribed pool
-   runs {e slower} than one thread (the 0.49x of BENCH_pr2.json).  [map]
-   therefore never spawns more domains than
+   Pool sizing (DESIGN.md §3.15): the default pool is one worker per
+   hardware thread, the calling domain included, so a campaign fills every
+   core.  OCaml 5 minor collections are stop-the-world across every running
+   domain, so domains beyond the hardware's parallelism do not merely idle —
+   each minor GC must wait for descheduled domains to reach a safepoint, and
+   an oversubscribed pool runs {e slower} than one thread (the 0.49x of
+   BENCH_pr2.json).  [map] therefore never spawns more domains than
    [Domain.recommended_domain_count () - 1] whatever [jobs] asks for; the
    extra jobs fold into work-stealing over the same chunk queue, so results
    are identical.  [~oversubscribe:true] disables the cap — tests use it to
-   exercise true cross-domain execution on small machines. *)
+   exercise true cross-domain execution on small machines.  Workers live
+   only for one [map] call: an idle pooled domain would still join every
+   stop-the-world minor GC of the domains that keep running. *)
 
-let hardware_jobs () = Stdlib.max 1 (Domain.recommended_domain_count () - 1)
+let hardware_jobs () = Stdlib.max 1 (Domain.recommended_domain_count ())
 
 let default_jobs () =
   match Sys.getenv_opt "BFTSIM_JOBS" with

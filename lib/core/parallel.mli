@@ -3,16 +3,18 @@
     {!Controller.run} is domain-safe (per-run state is confined to the run;
     the only cross-cutting hooks — the {!Bftsim_sim.Simlog} clock and the
     HotStuff+NS pacemaker-reset policy — are domain-local and configuration
-    fields respectively), so independent replications can fan out across a
-    fixed-size pool of OCaml 5 domains.  Determinism is preserved: results
-    are keyed by input index and reassembled in input order, so aggregation
-    sees the identical sequence the sequential path produces. *)
+    fields respectively, and a run writes no process-global state), so
+    independent replications can fan out across a pool of OCaml 5 domains.
+    Determinism is preserved: results are keyed by input index and
+    reassembled in input order, so aggregation sees the identical sequence
+    the sequential path produces. *)
 
 val default_jobs : unit -> int
 (** Pool size used when [?jobs] is omitted:
-    [Domain.recommended_domain_count () - 1] (at least 1, leaving one core
-    for the coordinating domain), overridden by the [BFTSIM_JOBS]
-    environment variable when it parses as a positive integer. *)
+    [Domain.recommended_domain_count ()] (at least 1) — one worker per
+    hardware thread, counting the calling domain, which works too —
+    overridden by the [BFTSIM_JOBS] environment variable when it parses as a
+    positive integer. *)
 
 val tune_gc : unit -> unit
 (** Grows the current domain's minor heap to the simulation profile
@@ -28,10 +30,11 @@ val map : ?jobs:int -> ?chunk:int -> ?oversubscribe:bool -> ('a -> 'b) -> 'a lis
     caller participates as one worker; at most [jobs - 1] are spawned,
     never more than there are chunks, and — because OCaml 5 minor GCs
     synchronize every running domain, making oversubscription strictly
-    slower — never more than the hardware supports
-    ([Domain.recommended_domain_count () - 1]); pass
+    slower — never more than fill the hardware together with the caller,
+    i.e. [Domain.recommended_domain_count () - 1]; pass
     [~oversubscribe:true] to lift that last cap, e.g. to exercise true
-    multi-domain interleavings on a small machine).  Workers claim [chunk]
+    multi-domain interleavings on a small machine).  Spawned workers are
+    joined before [map] returns.  Workers claim [chunk]
     consecutive indices at a time from a shared atomic queue; by default
     [chunk] targets ~8 claims per worker (at least 1).  [f] must be
     domain-safe for the elements it receives.  Output order equals input

@@ -76,8 +76,47 @@ let test_run_many_jobs_deterministic () =
         (protocol ^ ": identical liveness failures") seq.liveness_failures par.liveness_failures)
     [ "pbft"; "hotstuff-ns"; "librabft" ]
 
-let test_default_jobs_positive () =
-  Alcotest.(check bool) "default_jobs >= 1" true (Core.Parallel.default_jobs () >= 1)
+(* Runs [f] with BFTSIM_JOBS set to [v], then restores the caller's value
+   (the CI determinism job runs this suite with BFTSIM_JOBS=4).  An unset
+   variable is restored as [""], which [default_jobs] treats the same. *)
+let with_jobs_env v f =
+  let saved = Option.value (Sys.getenv_opt "BFTSIM_JOBS") ~default:"" in
+  Unix.putenv "BFTSIM_JOBS" v;
+  Fun.protect ~finally:(fun () -> Unix.putenv "BFTSIM_JOBS" saved) f
+
+let test_default_jobs () =
+  Alcotest.(check bool) "default_jobs >= 1" true (Core.Parallel.default_jobs () >= 1);
+  with_jobs_env "" (fun () ->
+      Alcotest.(check int)
+        "unset: one worker per hardware thread, caller included"
+        (max 1 (Domain.recommended_domain_count ()))
+        (Core.Parallel.default_jobs ()));
+  with_jobs_env "3" (fun () ->
+      Alcotest.(check int) "a valid BFTSIM_JOBS wins" 3 (Core.Parallel.default_jobs ()))
+
+(* At the default size and without [~oversubscribe], a 2-element map must
+   run its elements on two domains wherever the hardware has two threads.
+   Each element records its domain and waits (bounded) for the other to
+   start: if the pool ran sequentially, the first element would time out
+   before the second began, on the same domain. *)
+let test_default_map_uses_two_domains () =
+  if Domain.recommended_domain_count () < 2 then Alcotest.skip ();
+  with_jobs_env "" (fun () ->
+      let started = Array.init 2 (fun _ -> Atomic.make false) in
+      let ids =
+        Core.Parallel.map
+          (fun i ->
+            Atomic.set started.(i) true;
+            let deadline = Unix.gettimeofday () +. 5. in
+            while (not (Atomic.get started.(1 - i))) && Unix.gettimeofday () < deadline do
+              Domain.cpu_relax ()
+            done;
+            (Domain.self () :> int))
+          [ 0; 1 ]
+      in
+      match ids with
+      | [ a; b ] -> Alcotest.(check bool) "elements ran on two domains" true (a <> b)
+      | _ -> Alcotest.fail "expected two results")
 
 let () =
   Alcotest.run "parallel"
@@ -93,6 +132,8 @@ let () =
       ( "run_many",
         [
           Alcotest.test_case "jobs=1 vs jobs=4 identical" `Slow test_run_many_jobs_deterministic;
-          Alcotest.test_case "default jobs" `Quick test_default_jobs_positive;
+          Alcotest.test_case "default jobs" `Quick test_default_jobs;
+          Alcotest.test_case "default map spans two domains" `Quick
+            test_default_map_uses_two_domains;
         ] );
     ]

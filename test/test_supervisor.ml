@@ -11,8 +11,9 @@ module Core = Bftsim_core
 module Net = Bftsim_net
 module Obs = Bftsim_obs
 
-(* Installed before anything can force Controller's lazy parse: every run
-   seeded 424242 crashes at startup, 424243 hangs until cancelled. *)
+(* Installed at startup for the whole suite (Controller reads the variable
+   on every run): every run seeded 424242 crashes at startup, 424243 hangs
+   until cancelled. *)
 let crash_seed = 424242
 let hang_seed = 424243
 
@@ -386,6 +387,22 @@ let test_run_many_isolates_injected_faults () =
   Alcotest.(check int) "supervisor counted the deadline attempts" 2
     s.Core.Runner.supervision.Core.Supervisor.runs_timed_out
 
+(* The knob is read per run, not cached by the first one: a directive
+   installed after a run has already happened must still fire. *)
+let test_fault_inject_read_per_run () =
+  let seed = crash_seed + 100 in
+  let config = fast_config ~seed () in
+  ignore (Core.Controller.run config);
+  let saved = Option.value (Sys.getenv_opt "BFTSIM_FAULT_INJECT") ~default:"" in
+  Unix.putenv "BFTSIM_FAULT_INJECT" (Printf.sprintf "crash@%d" seed);
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "BFTSIM_FAULT_INJECT" saved)
+    (fun () ->
+      match Core.Controller.run config with
+      | _ -> Alcotest.fail "directive set after the first run was ignored"
+      | exception Failure msg ->
+        Alcotest.(check bool) "injected crash" true (contains ~affix:"injected crash" msg))
+
 let summaries_equal (a : Core.Runner.summary) (b : Core.Runner.summary) =
   let render s = Format.asprintf "%a" Core.Runner.pp_summary s in
   render a = render b && a.Core.Runner.digests = b.Core.Runner.digests
@@ -490,6 +507,8 @@ let () =
         [
           Alcotest.test_case "injected faults isolated" `Quick
             test_run_many_isolates_injected_faults;
+          Alcotest.test_case "fault knob read on every run" `Quick
+            test_fault_inject_read_per_run;
           Alcotest.test_case "resume reproduces the summary" `Quick
             test_run_many_resume_equivalence;
         ] );
